@@ -1,6 +1,6 @@
 //! The workspace's one JSON implementation: a [`Value`] tree, a strict
 //! RFC 8259 parser safe to run on outside input (cluster specs, JSONL
-//! streams, HTTP bodies), a compact and a pretty writer, and the
+//! streams), a compact and a pretty writer, and the
 //! [`ToJson`] / [`FromJson`] conversions typed files go through.
 //!
 //! Output matches the committed `results/*.json` files: the same string

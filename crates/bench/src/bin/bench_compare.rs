@@ -5,7 +5,7 @@
 //! bench_compare <baseline.json> <fresh.json> [--max-regression 0.25]
 //! ```
 //!
-//! Two artifact kinds are recognized by their fields:
+//! Four artifact kinds are recognized by their fields:
 //!
 //! * **eval-throughput** (`BENCH_eval_throughput.json`) — compares the
 //!   throughput fields (`serial_evals_per_sec`,
@@ -29,12 +29,6 @@
 //!   the field prints "(new, skipped)", so the gate can land before the
 //!   baseline artifact does. Absolute ms/plan figures are machine-bound
 //!   and stay informational.
-//! * **serve-throughput** (`BENCH_serve_throughput.json`, detected by
-//!   its `plans_per_sec` field) — gates on `plans_per_sec` and
-//!   `cross_tenant_hit_rate` (both lower-is-worse: throughput collapse
-//!   or the shared memo silently losing cross-tenant reuse), with the
-//!   same "(new, skipped)" tolerance. Latency percentiles and the
-//!   coalesce rate vary with runner core count, so they only inform.
 //!
 //! A fresh value more than `--max-regression` (default 25%) below the
 //! baseline exits nonzero with a per-field report; improvements and
@@ -87,21 +81,6 @@ const ARCH_INFORMATIONAL: [&str; 3] = [
     "plain_ms_per_plan",
     "archived_ms_per_plan",
     "events_per_run",
-];
-
-/// Serve-throughput artifacts: *lower is worse*, skipped when the
-/// baseline predates the field.
-const SERVE_GATED: [&str; 2] = ["plans_per_sec", "cross_tenant_hit_rate"];
-
-/// Serve-throughput context fields (latency and mix vary per runner).
-const SERVE_INFORMATIONAL: [&str; 7] = [
-    "p50_ms",
-    "p99_ms",
-    "coalesce_rate",
-    "memo_hit_rate",
-    "evalcache_hit_rate",
-    "requests",
-    "workers",
 ];
 
 fn load(path: &str) -> Result<heterog_base::json::Value, String> {
@@ -235,19 +214,16 @@ fn main() -> ExitCode {
 
     // Artifact kind: elastic-recovery artifacts carry `policies`,
     // strategy-space artifacts carry `wins`, archive artifacts carry
-    // `overhead_pct`, serve artifacts carry `plans_per_sec`, and eval
-    // throughput artifacts carry evals/sec fields.
+    // `overhead_pct`, and eval throughput artifacts carry evals/sec
+    // fields.
     let elastic = fresh.get("policies").is_some() || baseline.get("policies").is_some();
     let strategy_space = fresh.get("wins").is_some() || baseline.get("wins").is_some();
     let archive = fresh.get("overhead_pct").is_some() || baseline.get("overhead_pct").is_some();
-    let serve = fresh.get("plans_per_sec").is_some() || baseline.get("plans_per_sec").is_some();
     let (gated, gated_optional, gated_higher, informational): (&[&str], &[&str], &[&str], &[&str]) =
         if strategy_space {
             (&SS_GATED, &[], &[], &SS_INFORMATIONAL)
         } else if archive {
             (&[], &[], &ARCH_GATED_HIGHER, &ARCH_INFORMATIONAL)
-        } else if serve {
-            (&[], &SERVE_GATED, &[], &SERVE_INFORMATIONAL)
         } else {
             (&GATED, &GATED_OPTIONAL, &[], &INFORMATIONAL)
         };

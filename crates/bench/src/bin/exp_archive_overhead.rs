@@ -21,6 +21,7 @@ use std::time::Instant;
 use heterog::events as ev;
 use heterog::runs::{ArchiveHandle, RunArchiver, RunStore, StoredEvaluation};
 use heterog::{get_runner, HeterogConfig};
+use heterog_base::json::{self, ToJson};
 use heterog_cluster::paper_testbed_8gpu;
 use heterog_graph::{BenchmarkModel, ModelSpec};
 
@@ -36,7 +37,7 @@ fn plan_once() -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let reps = if smoke { 2 } else { 5 };
+    let reps: u32 = if smoke { 2 } else { 5 };
     let store_root =
         std::env::temp_dir().join(format!("heterog-archive-overhead-{}", std::process::id()));
     std::fs::remove_dir_all(&store_root).ok();
@@ -129,9 +130,14 @@ fn main() {
     println!("  archived: {archived_ms:.2} ms/plan ({events_per_run} events/run)");
     println!("  overhead: {overhead_pct:+.2}%  (target < 2%)");
 
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"reps\": {reps},\n  \"plain_ms_per_plan\": {plain_ms:.4},\n  \"archived_ms_per_plan\": {archived_ms:.4},\n  \"overhead_pct\": {overhead_pct:.4},\n  \"events_per_run\": {events_per_run},\n  \"roundtrip_bit_identical\": {roundtrip_ok}\n}}\n"
-    );
-    std::fs::write("BENCH_archive_overhead.json", json).expect("write artifact");
-    println!("wrote BENCH_archive_overhead.json");
+    let doc = json::obj([
+        ("smoke", smoke.to_json()),
+        ("reps", reps.to_json()),
+        ("plain_ms_per_plan", plain_ms.to_json()),
+        ("archived_ms_per_plan", archived_ms.to_json()),
+        ("overhead_pct", overhead_pct.to_json()),
+        ("events_per_run", events_per_run.to_json()),
+        ("roundtrip_bit_identical", roundtrip_ok.to_json()),
+    ]);
+    heterog_bench::write_bench("BENCH_archive_overhead.json", &doc);
 }

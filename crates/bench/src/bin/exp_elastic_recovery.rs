@@ -25,6 +25,7 @@ use std::time::Instant;
 
 use heterog::elastic::{elastic_run, ElasticOptions, FaultScript, RepairPolicy};
 use heterog_agent::HeteroGPlanner;
+use heterog_base::json::{self, ToJson};
 use heterog_cluster::{paper_testbed_8gpu, DeviceId};
 use heterog_compile::compile;
 use heterog_graph::{BenchmarkModel, ModelSpec};
@@ -156,47 +157,36 @@ fn main() {
         rows.len()
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"iterations\": {iters},\n"));
-    json.push_str(&format!("  \"failed_device\": {failed},\n"));
-    json.push_str(&format!("  \"migrate_faster_models\": {migrate_wins},\n"));
-    json.push_str(
-        "  \"policies\": [\"full-replan\", \"migrate-replicas\", \"collective-fallback\"],\n",
-    );
-    json.push_str("  \"models\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"full_replan_wall_s\": {:.6}, \"migrate_wall_s\": {:.6}, \
-             \"migrate_below_replan\": {}, \"replan_makespan_s\": {:.6}, \
-             \"migrate_makespan_s\": {:.6}, \"repair_evals\": [{}, {}, {}], \
-             \"recovery_cost_s\": [{:.6}, {:.6}, {:.6}], \"time_lost_s\": [{:.6}, {:.6}, {:.6}], \
-             \"final_makespan_s\": [{:.6}, {:.6}, {:.6}]}}{}\n",
-            r.name,
-            r.replan_wall_s,
-            r.migrate_wall_s,
-            r.migrate_wall_s < r.replan_wall_s,
-            r.replan_makespan,
-            r.migrate_makespan,
-            r.repair_evals[0],
-            r.repair_evals[1],
-            r.repair_evals[2],
-            r.recovery_cost_s[0],
-            r.recovery_cost_s[1],
-            r.recovery_cost_s[2],
-            r.time_lost_s[0],
-            r.time_lost_s[1],
-            r.time_lost_s[2],
-            r.final_makespan[0],
-            r.final_makespan[1],
-            r.final_makespan[2],
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_elastic_recovery.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("(results written to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    let models: Vec<json::Value> = rows
+        .iter()
+        .map(|r| {
+            json::obj([
+                ("model", r.name.to_json()),
+                ("full_replan_wall_s", r.replan_wall_s.to_json()),
+                ("migrate_wall_s", r.migrate_wall_s.to_json()),
+                (
+                    "migrate_below_replan",
+                    (r.migrate_wall_s < r.replan_wall_s).to_json(),
+                ),
+                ("replan_makespan_s", r.replan_makespan.to_json()),
+                ("migrate_makespan_s", r.migrate_makespan.to_json()),
+                ("repair_evals", r.repair_evals[..].to_json()),
+                ("recovery_cost_s", r.recovery_cost_s[..].to_json()),
+                ("time_lost_s", r.time_lost_s[..].to_json()),
+                ("final_makespan_s", r.final_makespan[..].to_json()),
+            ])
+        })
+        .collect();
+    let doc = json::obj([
+        ("smoke", smoke.to_json()),
+        ("iterations", iters.to_json()),
+        ("failed_device", failed.to_json()),
+        ("migrate_faster_models", migrate_wins.to_json()),
+        (
+            "policies",
+            ["full-replan", "migrate-replicas", "collective-fallback"][..].to_json(),
+        ),
+        ("models", json::Value::Array(models)),
+    ]);
+    heterog_bench::write_bench("BENCH_elastic_recovery.json", &doc);
 }

@@ -26,6 +26,7 @@
 
 use std::time::Instant;
 
+use heterog_base::json::{self, ToJson};
 use heterog_base::par::par_map;
 
 use heterog_agent::{actions_to_strategy, ActionSpace, RlAgent, TrainerConfig};
@@ -58,7 +59,8 @@ fn main() {
     heterog_bench::bench_init();
     let smoke = std::env::args().any(|a| a == "--smoke");
     // Pool of distinct strategies, each revisited `repeats` times.
-    let (pool_n, repeats, agent_eps) = if smoke { (8, 4, 4) } else { (48, 8, 12) };
+    let (pool_n, repeats, agent_eps): (usize, usize, _) =
+        if smoke { (8, 4, 4) } else { (48, 8, 12) };
 
     let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
     let cluster = paper_testbed_8gpu();
@@ -215,19 +217,46 @@ fn main() {
     );
     println!("  speedup: {pert_speedup:.2}x (target >=10x)   bit-identical: {pert_identical}");
 
-    // Hand-formatted JSON: flat numbers at fixed precision.
-    let json = format!(
-        "{{\n  \"model\": \"mobilenet_v2\",\n  \"batch_size\": 64,\n  \"cluster\": \"paper_testbed_8gpu\",\n  \"smoke\": {smoke},\n  \"distinct_strategies\": {pool_n},\n  \"visits_per_strategy\": {repeats},\n  \"total_evals\": {total},\n  \"threads\": {threads},\n  \"serial_secs\": {serial_secs:.6},\n  \"serial_evals_per_sec\": {serial_rate:.3},\n  \"batched_cached_secs\": {batched_secs:.6},\n  \"batched_cached_evals_per_sec\": {batched_rate:.3},\n  \"speedup\": {speedup:.3},\n  \"target_speedup\": 5.0,\n  \"meets_target\": {meets},\n  \"cache_hits\": {hits},\n  \"cache_misses\": {misses},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"results_bit_identical\": {identical},\n  \"plan_matches_serial\": {plan_matches},\n  \"perturbation_total_evals\": {pert_total},\n  \"perturbation_full_secs\": {pert_full_secs:.6},\n  \"perturbation_full_evals_per_sec\": {pert_full_rate:.3},\n  \"perturbation_incremental_setup_secs\": {inc_setup_secs:.6},\n  \"perturbation_incremental_secs\": {pert_inc_secs:.6},\n  \"perturbation_incremental_evals_per_sec\": {pert_inc_rate:.3},\n  \"perturbation_speedup\": {pert_speedup:.3},\n  \"perturbation_target_speedup\": 10.0,\n  \"perturbation_meets_target\": {pert_meets},\n  \"perturbation_bit_identical\": {pert_identical}\n}}\n",
-        threads = threads(),
-        meets = speedup >= 5.0,
-        hits = cache.hits(),
-        misses = cache.misses(),
-        hit_rate = cache.hit_rate(),
-        pert_meets = pert_speedup >= 10.0,
-    );
-    let path = "BENCH_eval_throughput.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("(results written to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    let doc = json::obj([
+        ("model", "mobilenet_v2".to_json()),
+        ("batch_size", 64u64.to_json()),
+        ("cluster", "paper_testbed_8gpu".to_json()),
+        ("smoke", smoke.to_json()),
+        ("distinct_strategies", pool_n.to_json()),
+        ("visits_per_strategy", repeats.to_json()),
+        ("total_evals", total.to_json()),
+        ("threads", threads().to_json()),
+        ("serial_secs", serial_secs.to_json()),
+        ("serial_evals_per_sec", serial_rate.to_json()),
+        ("batched_cached_secs", batched_secs.to_json()),
+        ("batched_cached_evals_per_sec", batched_rate.to_json()),
+        ("speedup", speedup.to_json()),
+        ("target_speedup", 5.0_f64.to_json()),
+        ("meets_target", (speedup >= 5.0).to_json()),
+        ("cache_hits", cache.hits().to_json()),
+        ("cache_misses", cache.misses().to_json()),
+        ("cache_hit_rate", cache.hit_rate().to_json()),
+        ("results_bit_identical", identical.to_json()),
+        ("plan_matches_serial", plan_matches.to_json()),
+        ("perturbation_total_evals", pert_total.to_json()),
+        ("perturbation_full_secs", pert_full_secs.to_json()),
+        ("perturbation_full_evals_per_sec", pert_full_rate.to_json()),
+        (
+            "perturbation_incremental_setup_secs",
+            inc_setup_secs.to_json(),
+        ),
+        ("perturbation_incremental_secs", pert_inc_secs.to_json()),
+        (
+            "perturbation_incremental_evals_per_sec",
+            pert_inc_rate.to_json(),
+        ),
+        ("perturbation_speedup", pert_speedup.to_json()),
+        ("perturbation_target_speedup", 10.0_f64.to_json()),
+        (
+            "perturbation_meets_target",
+            (pert_speedup >= 10.0).to_json(),
+        ),
+        ("perturbation_bit_identical", pert_identical.to_json()),
+    ]);
+    heterog_bench::write_bench("BENCH_eval_throughput.json", &doc);
 }

@@ -27,6 +27,7 @@
 use std::time::Instant;
 
 use heterog::explain::{default_interventions, explain, ExplainOptions};
+use heterog_base::json::{self, ToJson};
 use heterog_bench::Strategy;
 use heterog_cluster::paper_testbed_8gpu;
 use heterog_compile::{compile, CommMethod};
@@ -38,7 +39,7 @@ use heterog_sim::simulate;
 fn main() {
     heterog_bench::bench_init();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let rounds = if smoke { 5 } else { 25 };
+    let rounds: u32 = if smoke { 5 } else { 25 };
 
     let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
     let cluster = paper_testbed_8gpu();
@@ -113,21 +114,25 @@ fn main() {
         noinc_s * 1e3
     );
 
-    let json = format!(
-        "{{\n  \"model\": \"mobilenet_v2\",\n  \"batch_size\": 64,\n  \
-         \"cluster\": \"paper_testbed_8gpu\",\n  \"smoke\": {smoke},\n  \
-         \"rounds\": {rounds},\n  \"evaluate_secs\": {eval_s:.6},\n  \
-         \"explain_analysis_secs\": {analysis_s:.6},\n  \
-         \"explain_full_secs\": {full_s:.6},\n  \
-         \"explain_full_noincremental_secs\": {noinc_s:.6},\n  \
-         \"default_whatifs\": {num_whatifs},\n  \
-         \"analysis_vs_evaluate\": {analysis_ratio:.4},\n  \
-         \"whatif_evaluation_equivalents\": {whatif_evals:.4},\n  \
-         \"whatif_evaluation_equivalents_noincremental\": {whatif_evals_noinc:.4},\n  \
-         \"whatif_eval_equivalents_target\": 2.0,\n  \
-         \"whatif_meets_target\": {meets}\n}}\n",
-        meets = whatif_evals <= 2.0,
-    );
-    std::fs::write("BENCH_explain_overhead.json", json).expect("write results");
-    println!("wrote BENCH_explain_overhead.json");
+    let doc = json::obj([
+        ("model", "mobilenet_v2".to_json()),
+        ("batch_size", 64u64.to_json()),
+        ("cluster", "paper_testbed_8gpu".to_json()),
+        ("smoke", smoke.to_json()),
+        ("rounds", rounds.to_json()),
+        ("evaluate_secs", eval_s.to_json()),
+        ("explain_analysis_secs", analysis_s.to_json()),
+        ("explain_full_secs", full_s.to_json()),
+        ("explain_full_noincremental_secs", noinc_s.to_json()),
+        ("default_whatifs", num_whatifs.to_json()),
+        ("analysis_vs_evaluate", analysis_ratio.to_json()),
+        ("whatif_evaluation_equivalents", whatif_evals.to_json()),
+        (
+            "whatif_evaluation_equivalents_noincremental",
+            whatif_evals_noinc.to_json(),
+        ),
+        ("whatif_eval_equivalents_target", 2.0_f64.to_json()),
+        ("whatif_meets_target", (whatif_evals <= 2.0).to_json()),
+    ]);
+    heterog_bench::write_bench("BENCH_explain_overhead.json", &doc);
 }

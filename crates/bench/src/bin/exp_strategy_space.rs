@@ -21,8 +21,7 @@
 //! Run: `cargo run --release -p heterog-bench --bin exp_strategy_space`
 //! (pass `--smoke` for a seconds-scale CI configuration).
 
-use std::fmt::Write as _;
-
+use heterog_base::json::{self, ToJson};
 use heterog_bench::{evaluate, Strategy};
 use heterog_cluster::{paper_testbed_8gpu, LinkKind};
 use heterog_compile::{CommMethod, OpStrategy};
@@ -75,9 +74,9 @@ fn main() {
     let mut wins = 0usize;
     let mut improvements: Vec<f64> = Vec::new();
     let mut all_identical = true;
-    let mut rows_json = String::new();
+    let mut rows = Vec::new();
 
-    for (mi, spec) in specs.iter().enumerate() {
+    for spec in &specs {
         let g = spec.build();
 
         // The fastest single device hosts the MP-only candidate.
@@ -186,21 +185,16 @@ fn main() {
             improvement_pct
         );
 
-        let sep = if mi == 0 { "" } else { "," };
-        let _ = write!(
-            rows_json,
-            "{sep}\n    {{\"model\": \"{}\", \"narrow_best\": \"{}\", \"narrow_s\": {:.6}, \
-             \"widened_best\": \"{}\", \"widened_s\": {:.6}, \"improvement_pct\": {:.3}, \
-             \"win\": {}, \"incremental_bit_identical\": {}}}",
-            spec.label(),
-            nc.name,
-            ne.iteration_time,
-            wc.name,
-            we.iteration_time,
-            improvement_pct,
-            win,
-            identical
-        );
+        rows.push(json::obj([
+            ("model", spec.label().to_json()),
+            ("narrow_best", nc.name.to_json()),
+            ("narrow_s", ne.iteration_time.to_json()),
+            ("widened_best", wc.name.to_json()),
+            ("widened_s", we.iteration_time.to_json()),
+            ("improvement_pct", improvement_pct.to_json()),
+            ("win", win.to_json()),
+            ("incremental_bit_identical", identical.to_json()),
+        ]));
     }
 
     let mean_improvement = improvements.iter().sum::<f64>() / improvements.len().max(1) as f64;
@@ -215,15 +209,14 @@ fn main() {
         "the widened space must strictly beat the best replicate/MP-only plan on >={required} models"
     );
 
-    let json = format!(
-        "{{\n  \"cluster\": \"paper_testbed_8gpu\",\n  \"smoke\": {smoke},\n  \"models\": {},\n  \
-         \"wins\": {wins},\n  \"mean_improvement_pct\": {mean_improvement:.3},\n  \
-         \"incremental_bit_identical\": {all_identical},\n  \"rows\": [{rows_json}\n  ]\n}}\n",
-        specs.len()
-    );
-    let path = "BENCH_strategy_space.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("(results written to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    let doc = json::obj([
+        ("cluster", "paper_testbed_8gpu".to_json()),
+        ("smoke", smoke.to_json()),
+        ("models", specs.len().to_json()),
+        ("wins", wins.to_json()),
+        ("mean_improvement_pct", mean_improvement.to_json()),
+        ("incremental_bit_identical", all_identical.to_json()),
+        ("rows", json::Value::Array(rows)),
+    ]);
+    heterog_bench::write_bench("BENCH_strategy_space.json", &doc);
 }

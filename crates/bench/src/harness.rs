@@ -197,6 +197,15 @@ pub fn write_results<T: ToJson>(name: &str, value: &T) {
     }
 }
 
+/// Writes a `BENCH_*.json` artifact to `path` (relative to the working
+/// directory) as two-space indented JSON with a trailing newline.
+pub fn write_bench(path: &str, doc: &Value) {
+    match std::fs::write(path, json::to_string_pretty(doc) + "\n") {
+        Ok(()) => eprintln!("(results written to {path})"),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
+    }
+}
+
 /// Ground-truth evaluation of a fixed strategy (for baselines that don't
 /// need a fitted model).
 pub fn measure_strategy(

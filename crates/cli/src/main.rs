@@ -53,7 +53,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&flags),
         "train" => cmd_train(&flags),
         "elastic" => cmd_elastic(&flags),
-        "serve" => cmd_serve(&flags),
         "runs" => cmd_runs(&args[1..]),
         "models" => cmd_models(),
         "cluster-template" => {
@@ -84,7 +83,6 @@ USAGE:
   heterog-cli trace   --model <name> [--batch N] [--layers N] [--cluster spec.json] --out <file.json>
   heterog-cli train   --model <name> [--batch N] [--layers N] [--cluster spec.json] [--episodes N] [--seed N] [--rollout-k N] [--groups N]
   heterog-cli elastic --model <name> [--batch N] [--cluster spec.json] [--planner <name>] [--iters N] [--policy full-replan|migrate-replicas|collective-fallback|compare] [--no-incremental] [--faults <script> | --seed N [--num-faults N]] [--json-out <file.json>]
-  heterog-cli serve   [--addr HOST:PORT] [--workers N] [--max-pending N] [--degrade-depth N] [--quantum N] [--tenants a,b,c] [--cache-shards N] [--search-groups N] [--runs-dir <dir> | --no-archive]
   heterog-cli runs    list [--model <name>] [--planner <name>] [--fingerprint N] [--seed N]
   heterog-cli runs    show <id-prefix>
   heterog-cli runs    diff <before-id> <after-id>      nonzero exit on regression
@@ -145,26 +143,7 @@ ELASTIC:
                         30:link:nicout:0.25,40:linkup:nicout,45:join:0:v100`
   --seed N              generate a deterministic timeline instead (default 42)
   --num-faults N        events in the generated timeline (default 3)
-  --json-out <file>     write the canonical run report (byte-stable per seed)
-
-SERVE:
-  Runs the multi-tenant planning daemon: POST /v1/plan|explain|elastic,
-  GET /v1/jobs/<id> and /v1/jobs/<id>/events (JSONL stream), /healthz,
-  /metrics (Prometheus). Identical in-flight requests coalesce onto one
-  job, tenants are scheduled deficit-round-robin over a shared eval
-  cache, and past --degrade-depth pending jobs a `heterog` search
-  degrades to the CP-AR heuristic (the response says so).
-  --addr HOST:PORT      bind address (default 127.0.0.1:7807; port 0 = ephemeral)
-  --workers N           planner worker threads (default 2)
-  --max-pending N       admission-queue capacity; 429 past it (default 64)
-  --degrade-depth N     backlog at which searches degrade; 0 = never (default 8)
-  --quantum N           deficit-round-robin cost quantum (default 4)
-  --tenants a,b,c       tenant allowlist (default: accept any tenant)
-  --cache-shards N      shared eval-cache shards (default 8)
-  --search-groups N     `heterog` search width (default 12)
-  Completed jobs are archived into the run store (--runs-dir or
-  $HETEROG_RUNS_DIR, default .heterog/runs; --no-archive disables), so
-  `heterog-cli runs list` sees every served plan.";
+  --json-out <file>     write the canonical run report (byte-stable per seed)";
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut map = HashMap::new();
@@ -189,8 +168,7 @@ fn parse_model(flags: &HashMap<String, String>) -> Result<ModelSpec, String> {
     let name = flags
         .get("model")
         .ok_or("--model is required (see `heterog-cli models`)")?;
-    // The shared parser: the serve API rejects an unknown model with the
-    // same name list this error carries.
+    // The shared parser: its error lists every valid model name.
     let model =
         BenchmarkModel::parse(name).map_err(|e| format!("{e}; see `heterog-cli models`"))?;
     let batch = match flags.get("batch") {
@@ -801,57 +779,6 @@ fn cmd_elastic(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
-    fn numeric<T: std::str::FromStr>(
-        flags: &HashMap<String, String>,
-        key: &str,
-        into: &mut T,
-    ) -> Result<(), String> {
-        if let Some(v) = flags.get(key) {
-            *into = v.parse().map_err(|_| format!("bad --{key} {v:?}"))?;
-        }
-        Ok(())
-    }
-
-    let mut cfg = heterog_serve::ServeConfig::default();
-    if let Some(a) = flags.get("addr") {
-        cfg.addr = a.clone();
-    }
-    numeric(flags, "workers", &mut cfg.workers)?;
-    numeric(flags, "max-pending", &mut cfg.max_pending)?;
-    numeric(flags, "degrade-depth", &mut cfg.degrade_depth)?;
-    numeric(flags, "quantum", &mut cfg.quantum)?;
-    numeric(flags, "cache-shards", &mut cfg.cache_shards)?;
-    numeric(flags, "search-groups", &mut cfg.search_groups)?;
-    if let Some(t) = flags.get("tenants") {
-        let list: Vec<String> = t
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect();
-        if list.is_empty() {
-            return Err("bad --tenants: the allowlist is empty".into());
-        }
-        cfg.tenants = Some(list);
-    }
-    if !flags.contains_key("no-archive") {
-        cfg.archive_root = Some(runs_root(flags));
-    }
-
-    // A bind failure propagates as `cannot bind <addr>: ...`, which main
-    // prints and turns into a nonzero exit.
-    let server = heterog_serve::Server::spawn(cfg)?;
-    eprintln!("heterog-serve listening on http://{}", server.local_addr());
-    eprintln!(
-        "  POST /v1/plan /v1/explain /v1/elastic    GET /v1/jobs/<id>[/events] /healthz /metrics"
-    );
-    // The daemon runs until the process is killed.
-    loop {
-        std::thread::park();
-    }
 }
 
 /// The non-flag operands of an argv tail, skipping `--key value` pairs

@@ -30,10 +30,7 @@ pub mod config;
 pub mod runner;
 
 pub use config::{HeterogConfig, PlannerChoice};
-pub use runner::{
-    baseline_planner, get_runner, try_baseline_planner, DistRunner, RunStats,
-    BASELINE_PLANNER_NAMES,
-};
+pub use runner::{baseline_planner, get_runner, DistRunner, RunStats, BASELINE_PLANNER_NAMES};
 
 // Re-export the workspace so `heterog` is a one-stop dependency.
 pub use heterog_agent as agent;

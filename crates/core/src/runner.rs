@@ -94,16 +94,6 @@ impl DistRunner {
         heterog_telemetry::snapshot()
     }
 
-    /// A polling cursor over the live event stream ([`heterog_events`]).
-    /// The bus is process-global; this is a convenience for embedders
-    /// (e.g. a serve daemon) that hold a runner and want to stream
-    /// search/sim/elastic progress to clients over a channel instead of
-    /// a file. Call [`heterog_events::enable`] first — the bus is off
-    /// (and near-free) by default.
-    pub fn subscribe_events(&self) -> heterog_events::Subscription {
-        heterog_events::subscribe()
-    }
-
     /// Explains the deployment: simulated critical path, makespan
     /// attribution, stragglers, and ranked what-if interventions.
     pub fn explain(&self) -> heterog_explain::ExplainReport {
@@ -217,8 +207,8 @@ pub fn get_runner(
 }
 
 /// Every baseline planner name [`baseline_planner`] resolves, in the
-/// paper's comparison order. The CLI's `compare` command and the serve
-/// API's planner validation both enumerate this list.
+/// paper's comparison order. The CLI's `compare` command and its
+/// planner validation both enumerate this list.
 pub const BASELINE_PLANNER_NAMES: [&str; 11] = [
     "EV-PS",
     "EV-AR",
@@ -234,7 +224,7 @@ pub const BASELINE_PLANNER_NAMES: [&str; 11] = [
 ];
 
 /// Resolves a baseline planner by name, or `None` for an unknown name.
-pub fn try_baseline_planner(name: &str) -> Option<Box<dyn Planner>> {
+pub(crate) fn try_baseline_planner(name: &str) -> Option<Box<dyn Planner>> {
     Some(match name {
         "EV-PS" => Box::new(EvPsPlanner) as Box<dyn Planner>,
         "EV-AR" => Box::new(EvArPlanner),

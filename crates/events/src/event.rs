@@ -150,7 +150,7 @@ pub enum EventKind {
     /// own gap-free index; also the extension point for external
     /// subscribers that need an opaque marker in the stream.
     Probe {
-        /// Producer (thread/tenant) identifier.
+        /// Producer (e.g. thread) identifier.
         producer: u64,
         /// Per-producer emission index.
         index: u64,

@@ -30,7 +30,7 @@
 //!   a post-mortem.
 //!
 //! The stream is consumed either through a polling [`Subscription`]
-//! (what a long-lived serve daemon would hold) or an [`EventPump`]
+//! (what an embedder holding a runner polls) or an [`EventPump`]
 //! background thread fanning events out to [`EventSink`]s (what the CLI
 //! uses for `--events-out` / `--progress`).
 

@@ -120,9 +120,8 @@ impl BenchmarkModel {
     }
 
     /// Parses a user-supplied model name (case-insensitive, with the
-    /// common aliases). The error lists every valid canonical name —
-    /// the CLI and the serve API both surface it verbatim, so a typo
-    /// gets the same help everywhere.
+    /// common aliases). The error lists every valid canonical name, and
+    /// the CLI surfaces it verbatim, so a typo comes with its own help.
     pub fn parse(name: &str) -> Result<BenchmarkModel, String> {
         Ok(match name.to_ascii_lowercase().as_str() {
             "vgg19" | "vgg-19" => BenchmarkModel::Vgg19,

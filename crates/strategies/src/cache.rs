@@ -262,126 +262,6 @@ impl EvalCache {
     }
 }
 
-/// A sharded [`EvalCache`] for many concurrent planning contexts.
-///
-/// One `EvalCache` serializes every lookup behind a single `Mutex` —
-/// fine for one planner run, hostile to a planning *service* where
-/// dozens of tenants evaluate strategies for different (model, cluster)
-/// pairs at once. `ShardedEvalCache` routes each context to one of N
-/// independent shards by its context hash, so tenants planning for
-/// different models or clusters never contend on the same lock, while
-/// tenants with the *same* graph and the same cluster
-/// [`fingerprint`](heterog_cluster::Cluster::fingerprint) land on the
-/// same shard and warm each other's entries — the cross-tenant sharing
-/// the serve layer is built on.
-///
-/// Routing is by context (not by full key): every strategy evaluated
-/// for one (graph, cluster, policy) lives on one shard, so a planner
-/// run touches exactly one lock and per-context eviction semantics are
-/// identical to the unsharded cache.
-#[derive(Debug)]
-pub struct ShardedEvalCache {
-    shards: Box<[EvalCache]>,
-}
-
-impl ShardedEvalCache {
-    /// `shards` independent caches (minimum 1), each holding up to
-    /// [`DEFAULT_CONTEXT_CAPACITY`] contexts.
-    pub fn new(shards: usize) -> Self {
-        Self::with_capacity(shards, DEFAULT_CONTEXT_CAPACITY)
-    }
-
-    /// `shards` independent caches, each bounded to
-    /// `contexts_per_shard` contexts.
-    pub fn with_capacity(shards: usize, contexts_per_shard: usize) -> Self {
-        ShardedEvalCache {
-            shards: (0..shards.max(1))
-                .map(|_| EvalCache::with_capacity(contexts_per_shard))
-                .collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a (graph, cluster, policy) context routes to. Exposed
-    /// so tests can assert routing stability; all evaluations for one
-    /// context go through exactly this shard.
-    pub fn shard_for(&self, g: &Graph, cluster: &Cluster, policy: &OrderPolicy) -> &EvalCache {
-        let ctx = context_key(g, cluster, policy);
-        &self.shards[(ctx % self.shards.len() as u64) as usize]
-    }
-
-    /// Cached [`crate::evaluate`]: rank-based order policy.
-    pub fn evaluate<C: CostEstimator>(
-        &self,
-        g: &Graph,
-        cluster: &Cluster,
-        cost: &C,
-        strategy: &Strategy,
-    ) -> Evaluation {
-        self.evaluate_with_policy(g, cluster, cost, strategy, &OrderPolicy::RankBased)
-    }
-
-    /// Cached [`crate::evaluate_with_policy`], routed to the context's
-    /// shard.
-    pub fn evaluate_with_policy<C: CostEstimator>(
-        &self,
-        g: &Graph,
-        cluster: &Cluster,
-        cost: &C,
-        strategy: &Strategy,
-        policy: &OrderPolicy,
-    ) -> Evaluation {
-        self.shard_for(g, cluster, policy)
-            .evaluate_with_policy(g, cluster, cost, strategy, policy)
-    }
-
-    /// Evaluations served from any shard.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(EvalCache::hits).sum()
-    }
-
-    /// Evaluations computed fresh on any shard.
-    pub fn misses(&self) -> u64 {
-        self.shards.iter().map(EvalCache::misses).sum()
-    }
-
-    /// Distinct strategies stored across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EvalCache::len).sum()
-    }
-
-    /// Distinct contexts resident across all shards.
-    pub fn contexts(&self) -> usize {
-        self.shards.iter().map(EvalCache::contexts).sum()
-    }
-
-    /// True when no shard holds anything.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Aggregate fraction of evaluations served from cache.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-}
-
-impl Default for ShardedEvalCache {
-    fn default() -> Self {
-        Self::new(8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,53 +381,5 @@ mod tests {
         assert_eq!(cache.contexts(), 2);
         cache.evaluate(&g, &c2, &GroundTruthCost, &s);
         assert_eq!((cache.hits(), cache.misses()), (2, 5));
-    }
-
-    #[test]
-    fn sharded_cache_routes_one_context_to_one_shard() {
-        let g = mobilenet();
-        let c = paper_testbed_8gpu();
-        let sharded = ShardedEvalCache::new(4);
-        assert_eq!(sharded.num_shards(), 4);
-        let s1 = Strategy::even(g.len(), &c, CommMethod::AllReduce);
-        let s2 = Strategy::even(g.len(), &c, CommMethod::Ps);
-        sharded.evaluate(&g, &c, &GroundTruthCost, &s1);
-        sharded.evaluate(&g, &c, &GroundTruthCost, &s2);
-        sharded.evaluate(&g, &c, &GroundTruthCost, &s1);
-        assert_eq!((sharded.hits(), sharded.misses()), (1, 2));
-        assert_eq!(sharded.contexts(), 1);
-        // The whole context lives on exactly the routed shard.
-        let shard = sharded.shard_for(&g, &c, &OrderPolicy::RankBased);
-        assert_eq!(shard.len(), 2);
-        assert_eq!(sharded.len(), 2);
-    }
-
-    #[test]
-    fn sharded_cache_matches_fresh_evaluation_bits() {
-        let g = mobilenet();
-        let c = paper_testbed_8gpu();
-        let sharded = ShardedEvalCache::with_capacity(3, 2);
-        let s = Strategy::proportional(g.len(), &c, CommMethod::Ps);
-        let fresh = crate::evaluate(&g, &c, &GroundTruthCost, &s);
-        let miss = sharded.evaluate(&g, &c, &GroundTruthCost, &s);
-        let hit = sharded.evaluate(&g, &c, &GroundTruthCost, &s);
-        for e in [&miss, &hit] {
-            assert_eq!(e.iteration_time.to_bits(), fresh.iteration_time.to_bits());
-            assert_eq!(e.oom, fresh.oom);
-        }
-        assert!((sharded.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sharded_cache_separates_distinct_clusters() {
-        let g = mobilenet();
-        let fast = uniform_cluster(GpuModel::TeslaV100, 8, 4, 10e9);
-        let slow = uniform_cluster(GpuModel::TeslaV100, 8, 4, 1e9);
-        let sharded = ShardedEvalCache::new(2);
-        let s = Strategy::even(g.len(), &fast, CommMethod::AllReduce);
-        sharded.evaluate(&g, &fast, &GroundTruthCost, &s);
-        sharded.evaluate(&g, &slow, &GroundTruthCost, &s);
-        assert_eq!((sharded.hits(), sharded.misses()), (0, 2));
-        assert_eq!(sharded.contexts(), 2);
     }
 }

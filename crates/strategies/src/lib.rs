@@ -26,7 +26,7 @@ pub mod repair;
 pub mod seed;
 
 pub use baselines::{CpArPlanner, CpPsPlanner, EvArPlanner, EvPsPlanner, HorovodPlanner};
-pub use cache::{EvalCache, ShardedEvalCache};
+pub use cache::EvalCache;
 pub use evaluate::{
     eval_stats, evaluate, evaluate_with_policy, steady_state_iteration_time, EvalStats, Evaluation,
 };

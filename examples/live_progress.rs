@@ -12,7 +12,7 @@ use heterog_graph::{BenchmarkModel, ModelSpec};
 
 fn main() {
     // 1. Turn the bus on (off by default, one atomic load when off) and
-    //    take a polling cursor — what a serve daemon would hold.
+    //    take a polling cursor — what any embedder would hold.
     ev::enable();
     let mut sub = ev::subscribe();
 

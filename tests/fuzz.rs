@@ -1,6 +1,6 @@
 //! Seeded fuzz-style tests for every parser of outside input: the JSON
-//! parser itself, cluster specs, run manifests, explain artifacts, event
-//! streams and serve's request bodies. Each valid sample is truncated,
+//! parser itself, cluster specs, run manifests, explain artifacts and
+//! event streams. Each valid sample is truncated,
 //! corrupted with bytes that are never valid JSON at any position, replaced
 //! by random bytes, or nested far too deep; every such case must come back
 //! as an error (for the event reader: a truncated, prefix-only decode), and
@@ -11,7 +11,6 @@ use heterog::events::{parse_jsonl, RunManifest};
 use heterog::explain::digest_from_json;
 use heterog_base::json;
 use heterog_base::rng::ChaCha8Rng;
-use heterog_serve::api::parse_request;
 
 const CLUSTER: &str = r#"{"servers": [{"name": "v100-box", "nic_gbps": 100.0, "nvlink": true, "gpus": ["V100", "V100"]}, {"name": "gtx", "nic_gbps": 50, "gpus": ["1080Ti"]}]}"#;
 
@@ -19,6 +18,8 @@ const MANIFEST: &str = r#"{"type":"manifest","command":"plan","argv":["heterog-c
 
 const EXPLAIN: &str = r#"{"model": "vgg19", "makespan": 0.5, "mean_gpu_utilization": 0.75, "oom": false, "attribution": {"compute": 0.3, "collective": 0.1, "transfer": 0.05, "idle": 0.05}, "devices": [{"id": 0, "utilization": 0.9}, {"id": 1, "utilization": 0.6}]}"#;
 
+/// A plan-request-shaped object: strings, numbers and a bool around a
+/// nested cluster spec.
 const PLAN_BODY: &str = r#"{"tenant": "alice", "model": "mobilenet", "batch": 64, "planner": "CP-AR", "cluster": {"servers": [{"name": "a", "nic_gbps": 10, "gpus": ["V100", "P100"]}]}, "wait": true}"#;
 
 /// Bytes that are invalid at every position of a JSON text: control
@@ -107,12 +108,6 @@ fn run_manifest_rejects_every_mutant() {
 #[test]
 fn explain_digest_rejects_every_mutant() {
     fuzz(13, EXPLAIN, digest_from_json);
-}
-
-#[test]
-fn serve_request_body_rejects_every_mutant() {
-    let parse = |body: &str| parse_request("plan", body.as_bytes(), false, None);
-    fuzz(14, PLAN_BODY, parse);
 }
 
 /// The JSONL reader never fails outright: it decodes the longest

@@ -821,3 +821,77 @@ mod incremental_props {
         });
     }
 }
+
+// ---- eval-cache concurrency ----------------------------------------------
+
+mod cache_props {
+    use super::*;
+    use std::sync::Arc;
+
+    use heterog_cluster::paper_testbed_8gpu;
+    use heterog_graph::{BenchmarkModel, ModelSpec};
+    use heterog_profile::GroundTruthCost;
+    use heterog_strategies::{evaluate, CpArPlanner, EvalCache, Planner};
+
+    /// Hammering one cache from several threads over a random set of
+    /// contexts must (a) return bit-identical results to a fresh
+    /// evaluation, and (b) account every lookup as a hit or a miss with
+    /// each context resident exactly once.
+    #[test]
+    fn concurrent_lookups_stay_coherent() {
+        prop::check(4, 0x5A4D, |rng| {
+            let nbatches = rng.gen_range(1..4);
+            let seed = rng.gen_range(0..1000) as u64;
+            let threads = rng.gen_range(2..4);
+            // Derive `nbatches` distinct batch sizes from the seed
+            // (7 is coprime to 31, so the residues never collide).
+            let batches: Vec<u64> = (0..nbatches as u64)
+                .map(|i| 8 * (1 + (seed + 7 * i) % 31))
+                .collect();
+            let cluster = paper_testbed_8gpu();
+            let cache = Arc::new(EvalCache::with_capacity(16));
+
+            let mut fresh = Vec::new();
+            for &b in &batches {
+                let g = ModelSpec::new(BenchmarkModel::Vgg19, b).build();
+                let s = CpArPlanner.plan(&g, &cluster, &GroundTruthCost);
+                let e = evaluate(&g, &cluster, &GroundTruthCost, &s);
+                fresh.push((g, s, e));
+            }
+            let fresh = Arc::new(fresh);
+
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    let cache = Arc::clone(&cache);
+                    let cluster = cluster.clone();
+                    let fresh = Arc::clone(&fresh);
+                    std::thread::spawn(move || {
+                        for (g, s, expected) in fresh.iter() {
+                            let got = cache.evaluate(g, &cluster, &GroundTruthCost, s);
+                            assert_eq!(
+                                got.iteration_time.to_bits(),
+                                expected.iteration_time.to_bits(),
+                                "cached evaluation must bit-match a fresh one"
+                            );
+                            assert_eq!(got.oom, expected.oom);
+                        }
+                    })
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+
+            // Every lookup is accounted as a hit or a miss, and each
+            // context is resident once. Threads racing on the first
+            // lookup of a context may each record a miss, so the miss
+            // count is bounded, not exact.
+            let total = (threads * batches.len()) as u64;
+            assert_eq!(cache.hits() + cache.misses(), total);
+            assert_eq!(cache.contexts(), batches.len());
+            assert!(cache.misses() >= batches.len() as u64);
+            assert!(cache.misses() <= total);
+            assert_eq!(cache.hits(), total - cache.misses());
+        });
+    }
+}
